@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
+import secrets
 import time
 from pathlib import Path
 
@@ -48,13 +48,6 @@ def default_cache_dir() -> Path:
     return Path.home() / ".cache" / "repro-sim"
 
 
-def _current_umask() -> int:
-    """The process umask (only readable by momentarily setting it)."""
-    mask = os.umask(0o077)
-    os.umask(mask)
-    return mask
-
-
 class ResultCache:
     """Maps :class:`RunSpec` -> :class:`SimStats` on disk."""
 
@@ -65,19 +58,20 @@ class ResultCache:
     def _write_atomic(self, path: Path, payload: bytes) -> None:
         """Write ``payload`` to ``path`` via temp file + ``os.replace``.
 
-        ``mkstemp`` opens its file 0600 and ``os.replace`` preserves that
-        mode — in a cache directory shared across users (CI runners, a
-        job server's workers) every other reader would get
-        permission-denied, which :meth:`get` reads as a miss, so the
-        same runs re-simulate forever.  The temp file is therefore
-        re-moded to what a plain ``open()`` would have produced (0666
-        masked by the process umask) before it is published.
+        The temp file is created the way a plain ``open()`` creates a
+        file — mode 0666, masked by the process umask in the kernel —
+        because ``os.replace`` publishes whatever mode it has.
+        ``mkstemp``'s 0600 would leave a cache directory shared across
+        users (CI runners, a job server's workers) unreadable to every
+        other reader, and :meth:`get` reads permission-denied as a miss,
+        so the same runs would re-simulate forever.  Nothing here reads
+        or sets the umask: doing so means setting it, which races every
+        other thread of the process that creates a file.
         """
         self.root.mkdir(parents=True, exist_ok=True)
         self._sweep_orphans()
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
+        fd, tmp = self._create_tmp()
         try:
-            os.chmod(tmp, 0o666 & ~_current_umask())
             with os.fdopen(fd, "wb") as fh:
                 fh.write(payload)
             os.replace(tmp, path)
@@ -87,6 +81,16 @@ class ResultCache:
             except OSError:
                 pass
             raise
+
+    def _create_tmp(self) -> tuple[int, Path]:
+        """Open a fresh, uniquely named ``*.tmp`` file in the cache dir."""
+        flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+        while True:
+            tmp = self.root / f"tmp{secrets.token_hex(8)}.tmp"
+            try:
+                return os.open(tmp, flags, 0o666), tmp
+            except FileExistsError:
+                continue
 
     def _sweep_orphans(self) -> None:
         """Remove stale ``*.tmp`` droppings left by killed workers.

@@ -101,6 +101,16 @@ def _scaled(n: int, scale: float) -> int:
     return max(500, int(n * scale))
 
 
+def _digest(doc: dict) -> str:
+    """32-hex-digit content hash of a spec document (plus the version)."""
+    payload = json.dumps(
+        {"spec_version": SPEC_VERSION, **doc},
+        sort_keys=True,
+        separators=(",", ":"),
+    )
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:32]
+
+
 @dataclass(frozen=True)
 class RunSpec:
     """One simulation, fully described. Build via :meth:`from_workload`,
@@ -306,13 +316,32 @@ class RunSpec:
         return cls(**kw)
 
     def key(self) -> str:
-        """Stable content hash; the cache filename stem."""
-        payload = json.dumps(
-            {"spec_version": SPEC_VERSION, **self.to_dict()},
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:32]
+        """Stable content hash; the cache filename stem.
+
+        Computed once per instance and memoized in the instance
+        ``__dict__``: the spec is frozen, and ``dataclasses.replace``
+        builds a fresh instance, so a memo can never go stale.
+        """
+        key = self.__dict__.get("_key")
+        if key is None:
+            key = self.__dict__["_key"] = _digest(self.to_dict())
+        return key
+
+    def __hash__(self) -> int:
+        """The field-tuple hash ``dataclass`` would generate, memoized:
+        computing it walks every profile field of the workload, and the
+        scheduler, router and cache hash each spec thousands of times."""
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = self.__dict__["_hash"] = hash(
+                tuple(getattr(self, f.name) for f in fields(self))
+            )
+        return h
+
+    def __getstate__(self) -> dict:
+        # string hashes are salted per process, so the hash memo must
+        # not travel; the key memo is a content hash and may
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
 
     def warmup_key(self) -> str:
         """Stable hash of everything that shapes the machine *through the
@@ -326,12 +355,7 @@ class RunSpec:
         warm-up once, and forks each cell's measured tail from the
         snapshot (see :mod:`repro.engine.snapshot`).
         """
-        payload = json.dumps(
-            {"spec_version": SPEC_VERSION, **self.to_dict(), "commits": None},
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:32]
+        return _digest({**self.to_dict(), "commits": None})
 
     def label(self) -> str:
         """Short human-readable description for logs and JSON output."""

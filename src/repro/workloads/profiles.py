@@ -35,7 +35,7 @@ Every registered profile records its *provenance* (``built-in``,
 from __future__ import annotations
 
 import difflib
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 
 KB = 1024
 MB = 1024 * KB
@@ -127,8 +127,13 @@ class BenchProfile:
         return replace(self, **kwargs)
 
     def to_dict(self) -> dict:
-        """JSON-safe field mapping; round-trips via :meth:`from_dict`."""
-        return asdict(self)
+        """JSON-safe field mapping; round-trips via :meth:`from_dict`.
+
+        Every field is a scalar, so a shallow mapping equals
+        ``dataclasses.asdict`` without its recursive deep copy (this
+        sits under every :meth:`RunSpec.key` computation).
+        """
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "BenchProfile":

@@ -21,16 +21,23 @@ code, so re-encountering the same instructions (and the same load
 addresses) on later mispredictions is exactly what happens in hardware —
 an endless stream of fresh random instructions is not.
 
-The pool is a *pure function of the seed*: :meth:`_build_pool` draws from
-a fresh ``random.Random(seed)`` every time, so the generator's complete
-dynamic state is ``(seed, _pos)``.  Machine snapshots rely on this —
-pickling drops the (identically rebuildable) pool and keeps only the
-cursor, and a restored generator regenerates the exact same stream.
+The pool is a *pure function of* ``(seed, data_base, data_span)``:
+:func:`_build_pool` draws from a fresh ``random.Random(seed)`` every time
+and is memoized process-wide, so every generator with the same key
+shares one immutable tuple of :class:`StaticInst` (a figure grid builds
+each distinct pool once, not once per cell and thread).  Sharing is safe
+only because nothing ever mutates a ``StaticInst`` — the same invariant
+the trace memo (:func:`~repro.workloads.multiprogram.profile_trace`)
+relies on.  A generator's own dynamic state is just its ``_pos`` cursor.
+Machine snapshots rely on this — pickling drops the (identically
+rebuildable) pool and keeps only the key and the cursor, and a restored
+generator re-binds the same stream on its first :meth:`next_block`.
 """
 
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 
 from repro.isa.instruction import StaticInst
 from repro.isa.opclass import OpClass
@@ -39,32 +46,81 @@ from repro.workloads.synth import HOT_BASE
 _WP_PC_BASE = 0x7F0000
 _INST_BYTES = 4
 
+#: op mix of the wrong-path stream (load-heavy: mispredicted paths in FP
+#: codes usually fall into an adjacent loop body)
+_MIX = (
+    (OpClass.LOAD_F, 0.25),
+    (OpClass.IALU, 0.35),
+    (OpClass.FALU, 0.35),
+    (OpClass.LOAD_I, 0.05),
+)
+
+#: instructions per PC-wrap period: the pool the stream cycles through
+_POOL_SIZE = 0x4000 // _INST_BYTES
+
+#: distinct pools kept per process: one per hardware context (up to 4)
+#: for a few run seeds; a pool is ~4k instructions (~0.15 MB)
+_POOL_MEMO_SIZE = 16
+
+
+@lru_cache(maxsize=_POOL_MEMO_SIZE)
+def _build_pool(seed: int, data_base: int,
+                data_span: int) -> tuple[StaticInst, ...]:
+    """Synthesise one PC-wrap period of wrong-path instructions.
+
+    Deterministic in its arguments alone: the RNG is created fresh here,
+    so a generator restored from a snapshot (which carries no pool)
+    re-binds byte-for-byte the pool it was using before.  The result is
+    shared by every generator with the same key and must never be
+    mutated.
+    """
+    rng = random.Random(seed)
+    pool = []
+    pc = _WP_PC_BASE
+    for _ in range(_POOL_SIZE):
+        x = rng.random()
+        acc = 0.0
+        op = OpClass.IALU
+        for candidate, w in _MIX:
+            acc += w
+            if x < acc:
+                op = candidate
+                break
+        if op == OpClass.LOAD_F:
+            inst = StaticInst(
+                pc, op, dest=32 + 8 + rng.randrange(16),
+                srcs=(1,),
+                addr=data_base + (rng.randrange(data_span) & ~7),
+            )
+        elif op == OpClass.LOAD_I:
+            inst = StaticInst(
+                pc, op, dest=18 + rng.randrange(6), srcs=(2,),
+                addr=data_base + (rng.randrange(data_span) & ~7),
+            )
+        elif op == OpClass.FALU:
+            d = 32 + rng.randrange(8)
+            inst = StaticInst(pc, op, dest=d, srcs=(d, 32 + 8 + rng.randrange(16)))
+        else:
+            d = 18 + rng.randrange(6)
+            inst = StaticInst(pc, op, dest=d, srcs=(d,))
+        pool.append(inst)
+        pc += _INST_BYTES
+    return tuple(pool)
+
 
 class WrongPathGenerator:
-    """Per-thread generator of synthetic wrong-path instructions."""
-
-    #: op mix of the wrong-path stream (load-heavy: mispredicted paths in FP
-    #: codes usually fall into an adjacent loop body)
-    _MIX = (
-        (OpClass.LOAD_F, 0.25),
-        (OpClass.IALU, 0.35),
-        (OpClass.FALU, 0.35),
-        (OpClass.LOAD_I, 0.05),
-    )
-
-    #: instructions per PC-wrap period: the pool the stream cycles through
-    _POOL_SIZE = 0x4000 // _INST_BYTES
+    """Per-thread cursor over a shared wrong-path instruction pool."""
 
     def __init__(self, seed: int, data_base: int = HOT_BASE,
                  data_span: int = 2 * 1024):
         self.seed = seed
         self.data_base = data_base
         self.data_span = data_span
-        self._pool: list[StaticInst] | None = None
+        self._pool: tuple[StaticInst, ...] | None = None
         self._pos = 0
 
     def __getstate__(self) -> dict:
-        """Snapshot support: the pool is rebuilt from the seed on demand,
+        """Snapshot support: the pool is re-bound from the seed on demand,
         so only the seed, the layout knobs and the cursor are state."""
         return {
             "seed": self.seed,
@@ -80,52 +136,14 @@ class WrongPathGenerator:
         self._pool = None
         self._pos = state["_pos"]
 
-    def _build_pool(self) -> list[StaticInst]:
-        """Synthesise one PC-wrap period of wrong-path instructions.
-
-        Deterministic in ``self.seed`` alone: the RNG is created fresh
-        here, so a generator restored from a snapshot (which carries no
-        pool) rebuilds byte-for-byte the pool it was using before.
-        """
-        rng = random.Random(self.seed)
-        pool = []
-        pc = _WP_PC_BASE
-        for _ in range(self._POOL_SIZE):
-            x = rng.random()
-            acc = 0.0
-            op = OpClass.IALU
-            for candidate, w in self._MIX:
-                acc += w
-                if x < acc:
-                    op = candidate
-                    break
-            if op == OpClass.LOAD_F:
-                inst = StaticInst(
-                    pc, op, dest=32 + 8 + rng.randrange(16),
-                    srcs=(1,),
-                    addr=self.data_base + (rng.randrange(self.data_span) & ~7),
-                )
-            elif op == OpClass.LOAD_I:
-                inst = StaticInst(
-                    pc, op, dest=18 + rng.randrange(6), srcs=(2,),
-                    addr=self.data_base + (rng.randrange(self.data_span) & ~7),
-                )
-            elif op == OpClass.FALU:
-                d = 32 + rng.randrange(8)
-                inst = StaticInst(pc, op, dest=d, srcs=(d, 32 + 8 + rng.randrange(16)))
-            else:
-                d = 18 + rng.randrange(6)
-                inst = StaticInst(pc, op, dest=d, srcs=(d,))
-            pool.append(inst)
-            pc += _INST_BYTES
-        return pool
-
-    def next_block(self, n: int) -> list[StaticInst]:
+    def next_block(self, n: int) -> tuple[StaticInst, ...]:
         """Produce the next ``n`` wrong-path instructions (cyclic pool)."""
         pool = self._pool
         if pool is None:
-            pool = self._pool = self._build_pool()
-        size = self._POOL_SIZE
+            pool = self._pool = _build_pool(
+                self.seed, self.data_base, self.data_span
+            )
+        size = _POOL_SIZE
         pos = self._pos
         end = pos + n
         if end <= size:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import os
 import stat
+import sys
 import threading
 import time
 
@@ -61,7 +62,7 @@ def _mode(path) -> int:
 
 class TestSharedDirPermissions:
     """``mkstemp`` opens 0600 and ``os.replace`` preserves it; entries
-    must be re-moded to what the umask allows before publication."""
+    must get the mode the umask allows before publication."""
 
     def test_result_entries_honor_umask(self, tmp_path, umask_022):
         cache = ResultCache(tmp_path)
@@ -82,6 +83,46 @@ class TestSharedDirPermissions:
         cache.put(spec, stats)
         path = cache.put(spec, stats)
         assert _mode(path) == 0o644
+
+    def test_concurrent_writers_never_touch_the_umask(
+        self, tmp_path, umask_022, monkeypatch
+    ):
+        # the job server runs engines on executor threads: a write path
+        # that reads the umask by flipping it would hand other writers
+        # (and every other file the process creates) the flipped value.
+        # Yielding inside every umask change widens that window so the
+        # race shows on every run, not one in thousands.
+        real_umask = os.umask
+
+        def yielding_umask(mask: int) -> int:
+            old = real_umask(mask)
+            time.sleep(0)
+            return old
+
+        monkeypatch.setattr(os, "umask", yielding_umask)
+        stats = fast_spec().execute()
+        specs = [[fast_spec(seed=100 * w + i) for i in range(100)] for w in range(4)]
+        cache = ResultCache(tmp_path)
+        paths: list = []
+
+        def writer(w: int) -> None:
+            for spec in specs[w]:
+                paths.append(cache.put(spec, stats))
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=writer, args=(w,)) for w in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert not any(t.is_alive() for t in threads)
+        assert real_umask(0o022) == 0o022  # the process umask is unchanged
+        assert len(set(paths)) == 400
+        assert {_mode(p) for p in paths} == {0o666 & ~umask_022}
 
     def test_restrictive_umask_still_wins(self, tmp_path):
         # honoring the umask also means *not* widening past it

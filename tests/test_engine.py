@@ -1,8 +1,10 @@
 """Experiment engine: spec hashing, sweeps, cache, scheduler (tiny budgets)."""
 
 import copy
+import dataclasses
 import json
 import os
+import pickle
 import re
 import warnings
 from pathlib import Path
@@ -101,6 +103,90 @@ class TestRunSpecIdentity:
             WorkloadSpec.single("swim?hot_frac=0.1"), scale=1.0
         )
         assert a.key() != b.key()
+
+
+class TestSpecIdentityMemo:
+    """``key()`` is computed once per instance; identity must not move."""
+
+    #: keys and warm-up keys recorded before either was memoized
+    PINNED = {
+        "rotation4": (
+            "69fad969eec94349d8159d8440865aaf", "822576ac5065c1e28712c9ec0a1c564f",
+        ),
+        "single_override": (
+            "7787b6a84879a036bd0d92335431ab4f", "4c95a05ba67321f2c0667dfc2eb12a9b",
+        ),
+        "hybrid_mem": (
+            "25debfeb1569aca9e22e3c3cab499305", "ae4ae29d9208550a8a277418581f9d7a",
+        ),
+    }
+
+    @staticmethod
+    def pinned_spec(name: str) -> RunSpec:
+        from repro.memory.spec import resolve_memspec
+        from repro.router.spec import RouterSpec
+        from repro.workloads.spec import WorkloadSpec
+
+        return {
+            "rotation4": lambda: RunSpec.multiprogrammed(
+                4, l2_latency=64, commits_per_thread=2000, scale=1.0
+            ),
+            "single_override": lambda: RunSpec.from_workload(
+                WorkloadSpec.single("swim?hot_frac=0.1"), commits=5000,
+                scale=0.25, fetch_policy="rr",
+            ),
+            "hybrid_mem": lambda: RunSpec.multiprogrammed(
+                2, backend="hybrid", mem=resolve_memspec("l2_finite"),
+                router=RouterSpec(), commits_per_thread=800, scale=0.5,
+            ),
+        }[name]()
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_keys_are_unchanged(self, name):
+        spec = self.pinned_spec(name)
+        assert (spec.key(), spec.warmup_key()) == self.PINNED[name]
+        assert spec.key() == self.PINNED[name][0]  # the memoized read
+
+    def test_profile_to_dict_equals_asdict(self):
+        from repro.workloads.profiles import get_profile, profile_names
+        from repro.workloads.spec import WorkloadEntry
+
+        profiles = [get_profile(name) for name in profile_names()]
+        profiles.append(WorkloadEntry.parse("swim?hot_frac=0.1&iters=9").profile)
+        for p in profiles:
+            assert p.to_dict() == dataclasses.asdict(p), p.name
+
+    def test_memo_survives_pickle(self):
+        spec = tiny_spec(fetch_policy="rr")
+        spec.key()
+        clone = pickle.loads(pickle.dumps(spec))
+        fresh = dataclasses.replace(clone)
+        assert "_key" not in fresh.__dict__
+        assert clone.key() == fresh.key() == spec.key()
+
+    def test_replace_gets_a_new_key(self):
+        spec = tiny_spec()
+        old = spec.key()
+        moved = dataclasses.replace(spec, l2_latency=64)
+        assert moved.key() != old
+        assert moved.key() == tiny_spec(l2_latency=64).key()
+        assert spec.key() == old
+
+    def test_hash_follows_equality(self):
+        a, b = tiny_spec(), tiny_spec()
+        assert a == b and hash(a) == hash(b)
+        c = dataclasses.replace(a, l2_latency=64)
+        assert c != a and hash(c) != hash(a)
+        assert len({a, b, c, tiny_spec(seed=1)}) == 3
+
+    def test_hash_memo_never_travels(self):
+        # string hashes are salted per process: a pickled hash memo would
+        # be wrong wherever the spec is unpickled
+        spec = tiny_spec()
+        hash(spec)
+        clone = pickle.loads(pickle.dumps(spec))
+        assert "_hash" not in clone.__dict__
+        assert hash(clone) == hash(spec) and clone == spec
 
 
 class TestSweep:
